@@ -141,9 +141,9 @@ GridFinder make_finder(EvalBackend backend, int threads) {
 
 std::vector<sketch::HoleAssignment> assignments_of(const GridFinder& finder) {
   std::vector<sketch::HoleAssignment> out;
-  out.reserve(finder.survivors().size());
-  for (const solver::Survivor& s : finder.survivors()) {
-    out.push_back(s.assignment);
+  out.reserve(finder.version_space_size());
+  for (std::size_t i = 0; i < finder.version_space_size(); ++i) {
+    out.push_back(finder.survivor_assignment(i));
   }
   return out;
 }
@@ -188,6 +188,26 @@ double time_incremental_sync(EvalBackend backend, int threads,
     if (threads_used_out != nullptr && r == 0) {
       *threads_used_out = finder.last_sync_threads();
     }
+  }
+  return best;
+}
+
+// Best-of-reps mean wall time of GridFinder::restore_state (decode the
+// per-shard bitmaps, re-materialize the survivors) over `per_rep` restores
+// of the state a kBatch finder saves after syncing `graph` — the first step
+// of every served advance. Returns a negative time if a restored finder
+// does not re-serialize byte-identically.
+double time_restore(const pref::PreferenceGraph& graph, int reps, int per_rep) {
+  GridFinder source = make_finder(EvalBackend::kBatch, 1);
+  source.sync(graph);
+  const std::string blob = source.save_state();
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    GridFinder finder = make_finder(EvalBackend::kBatch, 1);
+    util::Stopwatch watch;
+    for (int i = 0; i < per_rep; ++i) finder.restore_state(blob);
+    best = std::min(best, watch.elapsed_seconds() / per_rep);
+    if (finder.save_state() != blob) return -1;
   }
   return best;
 }
@@ -486,6 +506,15 @@ int run(bool smoke, const std::string& out_path) {
             << lane_isa << ") " << inc_batch_s << " s, batched+shards "
             << inc_batch_par_s << " s  (" << inc_ref.size() << " survivors)\n";
 
+  // --- Restore --------------------------------------------------------------
+  const double restore_s = time_restore(before, reps, smoke ? 2 : 20);
+  if (restore_s < 0) {
+    std::cerr << "FAIL: restored finder state does not round-trip\n";
+    return 1;
+  }
+  std::cout << "restore         batched " << restore_s << " s  ("
+            << ref.size() << " survivors)\n";
+
   if (smoke) {
     std::cout << "smoke: all configurations agree (lane ISA " << lane_isa
               << " vs scalar included)\n";
@@ -549,6 +578,9 @@ int run(bool smoke, const std::string& out_path) {
        << "    \"batched_scalar\": " << inc_batch_scalar_s << ",\n"
        << "    \"batched\": " << inc_batch_s << ",\n"
        << "    \"batched_parallel\": " << inc_batch_par_s << "\n"
+       << "  },\n"
+       << "  \"restore_seconds\": {\n"
+       << "    \"batched\": " << restore_s << "\n"
        << "  },\n"
        << "  \"sync_full_speedup_vs_seed_tree\": " << sync_speedup << ",\n"
        << "  \"sync_full_speedup_vs_compiled\": " << speedup_vs_compiled

@@ -17,6 +17,8 @@
 //
 // Build & run:  ./build/examples/priority_te
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "oracle/ground_truth.h"
 #include "sketch/library.h"
@@ -35,11 +37,13 @@ int main() {
   const auto demands = te::gravity_demands(topo, rng, 60.0, 10);
   std::vector<te::FlowRequest> requests;
   for (std::size_t i = 0; i < demands.size(); ++i) {
+    std::string name = std::to_string(i);
+    name.insert(name.begin(), 'f');
     te::Flow flow{.src = demands[i].src,
                   .dst = demands[i].dst,
                   .demand_gbps = demands[i].demand_gbps,
                   .priority = i < 4 ? 1 : 0,  // biggest flows are interactive
-                  .name = "f" + std::to_string(i)};
+                  .name = std::move(name)};
     requests.push_back(te::make_request(topo, std::move(flow), 3));
   }
   std::printf("Waxman WAN: %zu nodes, %zu links; %zu flows (4 high-priority)\n\n",

@@ -3,6 +3,9 @@
 #   1. configure + build the main tree
 #   2. the complete ctest suite (unit, integration, differential, lint
 #      gates, docs_check, docs_blocks, session kill/resume end to end)
+#   2b. the same configure + build + suite in the Release and Debug build
+#      types (-Werror stays on; -O3 inlining raises warnings the default
+#      RelWithDebInfo build never sees)
 #   3. the synthesis-service end-to-end smokes, re-run explicitly so a
 #      daemon/protocol regression is named in the CI log even when the
 #      suite above was filtered (serve_smoke drives every protocol verb
@@ -35,6 +38,14 @@ cmake --build "$build" -j "$(nproc)"
 
 echo "== test suite =="
 ctest --test-dir "$build" -j "$(nproc)" --output-on-failure
+
+for type in Release Debug; do
+  typed_build="$repo/build-$(echo "$type" | tr '[:upper:]' '[:lower:]')"
+  echo "== $type configure + build + test suite ($typed_build) =="
+  cmake -B "$typed_build" -S "$repo" -DCMAKE_BUILD_TYPE="$type" >/dev/null
+  cmake --build "$typed_build" -j "$(nproc)"
+  ctest --test-dir "$typed_build" -j "$(nproc)" --output-on-failure
+done
 
 echo "== synthesis service end to end =="
 ctest --test-dir "$build" -R '^serve_(smoke|kill_resume)$' --output-on-failure

@@ -11,10 +11,12 @@ std::string to_string(const Scenario& s, const sketch::Sketch& context) {
   os << '(';
   for (std::size_t i = 0; i < s.metrics.size(); ++i) {
     if (i > 0) os << ", ";
-    const std::string name = i < context.metrics().size()
-                                 ? context.metrics()[i].name
-                                 : "m" + std::to_string(i);
-    os << name << " = " << util::format_number(s.metrics[i], 3);
+    if (i < context.metrics().size()) {
+      os << context.metrics()[i].name;
+    } else {
+      os << 'm' << i;
+    }
+    os << " = " << util::format_number(s.metrics[i], 3);
   }
   os << ')';
   return os.str();

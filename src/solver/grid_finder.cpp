@@ -27,8 +27,6 @@ constexpr std::int64_t kMaxEnumerableCandidates = 4'000'000;
 // than it saves; run inline.
 constexpr std::int64_t kMinParallelCandidates = 2048;
 
-constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
-
 }  // namespace
 
 GridFinder::GridFinder(sketch::Sketch sketch, GridFinderConfig config,
@@ -77,53 +75,43 @@ double GridFinder::objective(std::span<const double> hole_values,
   return sketch::eval_with_values(sketch_, hole_values, metrics);
 }
 
-std::vector<double> GridFinder::objective_batch(
-    std::span<const double> hole_values,
-    const std::vector<pref::Scenario>& scenarios) const {
-  std::vector<double> out(scenarios.size());
+void GridFinder::objective_batch(std::span<const double> hole_values,
+                                 std::span<const double> metrics_flat,
+                                 std::span<double> out) const {
   if (config_.eval_backend != EvalBackend::kTree) {
-    const std::size_t width = sketch_.metrics().size();
-    std::vector<double> flat(scenarios.size() * width);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      std::copy(scenarios[i].metrics.begin(), scenarios[i].metrics.end(),
-                flat.begin() + static_cast<std::ptrdiff_t>(i * width));
-    }
-    compiled_.eval_many(flat, hole_values, out);
-  } else {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      out[i] = sketch::eval_with_values(sketch_, hole_values,
-                                        scenarios[i].metrics);
-    }
+    compiled_.eval_many(metrics_flat, hole_values, out);
+    return;
   }
-  return out;
+  const std::size_t width = sketch_.metrics().size();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = sketch::eval_with_values(
+        sketch_, hole_values, metrics_flat.subspan(i * width, width));
+  }
 }
 
-double GridFinder::value_at(Survivor& s, const pref::PreferenceGraph& graph,
-                            pref::VertexId v) const {
-  if (v >= s.vertex_values.size()) {
-    s.vertex_values.resize(graph.vertex_count(), kNotComputed);
-  }
-  double& slot = s.vertex_values[v];
-  if (std::isnan(slot)) {
-    slot = objective(s.hole_values, graph.scenario(v).metrics);
-  }
-  return slot;
-}
-
-bool GridFinder::consistent(Survivor& s, const pref::PreferenceGraph& graph,
-                            std::size_t first_edge,
-                            std::size_t first_tie) const {
+bool GridFinder::consistent(std::span<const double> hole_values,
+                            const pref::PreferenceGraph& graph,
+                            std::size_t first_edge, std::size_t first_tie,
+                            VertexValues& vertices) const {
+  vertices.reset(graph.vertex_count());
+  const auto value_of = [&](pref::VertexId v) {
+    if (!vertices.done[v]) {
+      vertices.value[v] = objective(hole_values, graph.scenario(v).metrics);
+      vertices.done[v] = 1;
+    }
+    return vertices.value[v];
+  };
   const double tie_bound = config_.base.tie_tolerance + 1e-9;
   const auto& edges = graph.edges();
   for (std::size_t i = first_edge; i < edges.size(); ++i) {
-    const double better = value_at(s, graph, edges[i].better);
-    const double worse = value_at(s, graph, edges[i].worse);
+    const double better = value_of(edges[i].better);
+    const double worse = value_of(edges[i].worse);
     if (!(better > worse)) return false;
   }
   const auto& ties = graph.ties();
   for (std::size_t i = first_tie; i < ties.size(); ++i) {
-    const double fu = value_at(s, graph, ties[i].first);
-    const double fv = value_at(s, graph, ties[i].second);
+    const double fu = value_of(ties[i].first);
+    const double fv = value_of(ties[i].second);
     if (std::abs(fu - fv) > tie_bound) return false;
   }
   return true;
@@ -140,31 +128,49 @@ sketch::HoleAssignment GridFinder::assignment_at(std::int64_t linear) const {
   return a;
 }
 
+std::span<const double> GridFinder::survivor_row(std::size_t i) const {
+  const std::size_t n_holes = sketch_.holes().size();
+  return std::span<const double>(survivors_.values).subspan(i * n_holes,
+                                                            n_holes);
+}
+
+void GridFinder::assign_survivors(std::vector<std::int64_t> linears) {
+  const auto& holes = sketch_.holes();
+  survivors_.values.resize(linears.size() * holes.size());
+  double* row = survivors_.values.data();
+  for (std::int64_t linear : linears) {
+    for (const sketch::HoleSpec& hole : holes) {
+      *row++ = hole.value_at(linear % hole.count);
+      linear /= hole.count;
+    }
+  }
+  survivors_.linears = std::move(linears);
+}
+
 void GridFinder::enumerate_range(std::int64_t lo, std::int64_t hi,
                                  const pref::PreferenceGraph& graph,
-                                 std::vector<Survivor>& out) const {
-  const std::size_t n_vertices = graph.vertex_count();
+                                 Columns& out) const {
   const auto& holes = sketch_.holes();
-  Survivor scratch;
-  scratch.assignment = assignment_at(lo);
-  scratch.hole_values.resize(holes.size());
+  sketch::HoleAssignment cursor = assignment_at(lo);
+  std::vector<double> hole_values(holes.size());
+  VertexValues vertices;
   for (std::int64_t i = lo; i < hi; ++i) {
-    scratch.linear = i;
     for (std::size_t h = 0; h < holes.size(); ++h) {
-      scratch.hole_values[h] = holes[h].value_at(scratch.assignment.index[h]);
+      hole_values[h] = holes[h].value_at(cursor.index[h]);
     }
     const bool viable =
-        !viability_.concrete || viability_.concrete(scratch.hole_values);
-    if (viable) {
-      scratch.vertex_values.assign(n_vertices, kNotComputed);
-      if (consistent(scratch, graph, 0, 0)) out.push_back(scratch);
+        !viability_.concrete || viability_.concrete(hole_values);
+    if (viable && consistent(hole_values, graph, 0, 0, vertices)) {
+      out.linears.push_back(i);
+      out.values.insert(out.values.end(), hole_values.begin(),
+                        hole_values.end());
     }
     // Odometer increment over the grid (index 0 varies fastest, matching
     // assignment_at's linear decoding).
     std::size_t pos = 0;
-    while (pos < scratch.assignment.index.size()) {
-      if (++scratch.assignment.index[pos] < holes[pos].count) break;
-      scratch.assignment.index[pos] = 0;
+    while (pos < cursor.index.size()) {
+      if (++cursor.index[pos] < holes[pos].count) break;
+      cursor.index[pos] = 0;
       ++pos;
     }
   }
@@ -178,53 +184,149 @@ std::int64_t GridFinder::shard_span(std::int64_t total) {
   return std::max<std::int64_t>(4096, (total + 63) / 64);
 }
 
+namespace {
+
+constexpr std::size_t kLanes = sketch::kBatchLaneWidth;
+using LaneErrors = std::array<sketch::LaneError, kLanes>;
+
+// The lane-tape constraint check shared by the full scan and the incremental
+// filter. One group of kLanes candidates at a time: each graph vertex a
+// constraint reaches is evaluated once per group, for every lane, and its
+// values and error codes kept until the next group.
+class LaneCheck {
+ public:
+  LaneCheck(const sketch::BatchTape& tape, const pref::PreferenceGraph& graph,
+            double tie_bound)
+      : tape_(tape),
+        graph_(graph),
+        tie_bound_(tie_bound),
+        vals_(graph.vertex_count() * kLanes),
+        errs_(graph.vertex_count() * kLanes),
+        done_(graph.vertex_count(), 0),
+        err_bits_(graph.vertex_count(), 0) {}
+
+  // Checks the first `n` lanes of `holes_soa` (hole h, lane l at
+  // h*kLanes+l) that are set in `alive` against the edges from `first_edge`
+  // and the ties from `first_tie`. Returns the lanes that pass them all;
+  // lane_err[l] receives the error of each lane that raised one.
+  //
+  // The checks mirror GridFinder::consistent per lane: the better vertex's
+  // error is observed first, then the worse one's, then the comparison — so
+  // each lane's recorded error is exactly the EvalError the scalar scan
+  // would have thrown for that candidate. Error lanes take the scalar slow
+  // path (rare); the comparison itself is one vectorized mask per
+  // constraint. lane_gt_bits is false on NaN, matching `!(fb > fw)` killing
+  // the lane; lane_abs_diff_gt_bits is false on NaN, so a NaN difference
+  // never exceeds the tie bound and the lane survives, as in consistent().
+  unsigned run(std::span<const double> holes_soa, std::size_t n,
+               unsigned alive, std::size_t first_edge, std::size_t first_tie,
+               LaneErrors& lane_err, long long& lane_evals) {
+    lane_err.fill(sketch::LaneError::kNone);
+    std::fill(done_.begin(), done_.end(), char{0});
+    const auto ensure = [&](pref::VertexId v) {
+      if (done_[v]) return;
+      done_[v] = 1;
+      tape_.eval_lanes(graph_.scenario(v).metrics, holes_soa,
+                       &vals_[v * kLanes], &errs_[v * kLanes]);
+      unsigned bits = 0;
+      for (std::size_t l = 0; l < n; ++l) {
+        if (errs_[v * kLanes + l] != sketch::LaneError::kNone) bits |= 1u << l;
+      }
+      err_bits_[v] = static_cast<unsigned char>(bits);
+      lane_evals += static_cast<long long>(kLanes);
+    };
+    // Retires the alive lanes that raised on u or v (u's error first).
+    const auto retire_errors = [&](pref::VertexId u, pref::VertexId v) {
+      const unsigned err_mask =
+          static_cast<unsigned>(err_bits_[u] | err_bits_[v]) & alive;
+      for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
+        const auto l = static_cast<std::size_t>(std::countr_zero(bits));
+        const sketch::LaneError eu = errs_[u * kLanes + l];
+        lane_err[l] =
+            eu != sketch::LaneError::kNone ? eu : errs_[v * kLanes + l];
+      }
+      alive &= ~err_mask;
+    };
+
+    const auto& edges = graph_.edges();
+    for (std::size_t i = first_edge; i < edges.size() && alive != 0; ++i) {
+      const pref::VertexId b = edges[i].better;
+      const pref::VertexId w = edges[i].worse;
+      ensure(b);
+      ensure(w);
+      retire_errors(b, w);
+      alive &= sketch::lane_gt_bits(&vals_[b * kLanes], &vals_[w * kLanes]);
+    }
+    const auto& ties = graph_.ties();
+    for (std::size_t i = first_tie; i < ties.size() && alive != 0; ++i) {
+      const pref::VertexId u = ties[i].first;
+      const pref::VertexId v = ties[i].second;
+      ensure(u);
+      ensure(v);
+      retire_errors(u, v);
+      alive &= ~sketch::lane_abs_diff_gt_bits(&vals_[u * kLanes],
+                                              &vals_[v * kLanes], tie_bound_);
+    }
+    return alive;
+  }
+
+ private:
+  const sketch::BatchTape& tape_;
+  const pref::PreferenceGraph& graph_;
+  double tie_bound_;
+  std::vector<double> vals_;              // vertex v, lane l at v*kLanes+l
+  std::vector<sketch::LaneError> errs_;   // same layout
+  std::vector<char> done_;                // vertex evaluated for this group
+  // Bit l of err_bits_[v] = lane l errored on vertex v (valid when done_[v]).
+  std::vector<unsigned char> err_bits_;
+};
+
+// Copies the last real lane into the spare lanes of a tail group narrower
+// than kLanes, so every lane holds in-domain values; spare lanes start dead
+// and their outputs are ignored.
+void pad_spare_lanes(std::vector<double>& holes_soa, std::size_t n_holes,
+                     std::size_t n) {
+  for (std::size_t l = n; l < kLanes; ++l) {
+    for (std::size_t h = 0; h < n_holes; ++h) {
+      holes_soa[h * kLanes + l] = holes_soa[h * kLanes + (n - 1)];
+    }
+  }
+}
+
+}  // namespace
+
 void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
                                        const pref::PreferenceGraph& graph,
-                                       std::vector<Survivor>& out,
+                                       Columns& out,
                                        BatchCounters& counters) const {
-  constexpr std::size_t W = sketch::kBatchLaneWidth;
-  const std::size_t n_vertices = graph.vertex_count();
   const auto& holes = sketch_.holes();
   const std::size_t n_holes = holes.size();
-  const double tie_bound = config_.base.tie_tolerance + 1e-9;
-  const auto& edges = graph.edges();
-  const auto& ties = graph.ties();
+  LaneCheck check(batch_, graph, config_.base.tie_tolerance + 1e-9);
 
   // Odometer cursor shared across groups (index 0 varies fastest, matching
   // assignment_at / enumerate_range).
   sketch::HoleAssignment cursor = assignment_at(lo);
+  std::vector<double> holes_soa(n_holes * kLanes);  // h*kLanes+l
+  std::vector<double> lane_values(n_holes);         // AoS view for viability
+  LaneErrors lane_err{};
 
-  std::vector<std::int64_t> idx(W * n_holes);    // lane-major hole indices
-  std::vector<double> holes_soa(n_holes * W);    // hole h, lane l at h*W+l
-  std::vector<double> lane_values(n_holes);      // AoS view for viability
-  std::vector<double> vvals(n_vertices * W);     // vertex v, lane l at v*W+l
-  std::vector<sketch::LaneError> verrs(n_vertices * W);
-  std::vector<char> vdone(n_vertices, 0);
-  // Bit l of verr_bits[v] = lane l errored on vertex v (valid when vdone[v]).
-  std::vector<unsigned char> verr_bits(n_vertices, 0);
-  std::array<sketch::LaneError, W> lane_err{};
-
-  for (std::int64_t base = lo; base < hi; base += W) {
+  for (std::int64_t base = lo; base < hi; base += kLanes) {
     const std::size_t n =
-        static_cast<std::size_t>(std::min<std::int64_t>(W, hi - base));
+        static_cast<std::size_t>(std::min<std::int64_t>(kLanes, hi - base));
     ++counters.groups;
 
     // Stage the group: decode + advance the odometer per lane, compute hole
-    // values, run the viability gate. Spare lanes (a tail group narrower
-    // than W) copy the last real candidate so every lane holds in-domain
-    // values; they start dead and their outputs are ignored.
+    // values, run the viability gate.
     unsigned alive_bits = 0;  // bit l = lane l still satisfies everything
     for (std::size_t l = 0; l < n; ++l) {
       for (std::size_t h = 0; h < n_holes; ++h) {
-        idx[l * n_holes + h] = cursor.index[h];
         const double v = holes[h].value_at(cursor.index[h]);
         lane_values[h] = v;
-        holes_soa[h * W + l] = v;
+        holes_soa[h * kLanes + l] = v;
       }
       if (!viability_.concrete || viability_.concrete(lane_values)) {
         alive_bits |= 1u << l;
       }
-      lane_err[l] = sketch::LaneError::kNone;
       std::size_t pos = 0;
       while (pos < n_holes) {
         if (++cursor.index[pos] < holes[pos].count) break;
@@ -232,74 +334,9 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
         ++pos;
       }
     }
-    for (std::size_t l = n; l < W; ++l) {
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = holes_soa[h * W + (n - 1)];
-      }
-      lane_err[l] = sketch::LaneError::kNone;
-    }
-    std::fill(vdone.begin(), vdone.end(), char{0});
-
-    const auto ensure = [&](pref::VertexId v) {
-      if (vdone[v]) return;
-      vdone[v] = 1;
-      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa, &vvals[v * W],
-                        &verrs[v * W]);
-      unsigned bits = 0;
-      for (std::size_t l = 0; l < n; ++l) {
-        if (verrs[v * W + l] != sketch::LaneError::kNone) bits |= 1u << l;
-      }
-      verr_bits[v] = static_cast<unsigned char>(bits);
-      counters.lane_evals += static_cast<long long>(W);
-    };
-
-    // Constraint checks mirror consistent() per lane: the better vertex's
-    // error is observed first (value_at order), then the worse one's, then
-    // the comparison — so each lane's first recorded error is exactly the
-    // EvalError the scalar scan would have thrown for that candidate. Error
-    // lanes take the scalar slow path (rare); the comparison itself is one
-    // vectorized mask per edge. lane_gt_bits is false on NaN, matching
-    // `!(fb > fw)` killing the lane.
-    for (const auto& e : edges) {
-      if (alive_bits == 0) break;
-      ensure(e.better);
-      ensure(e.worse);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[e.better] | verr_bits[e.worse]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eb = verrs[e.better * W + l];
-          lane_err[l] =
-              eb != sketch::LaneError::kNone ? eb : verrs[e.worse * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &=
-          sketch::lane_gt_bits(&vvals[e.better * W], &vvals[e.worse * W]);
-    }
-    // lane_abs_diff_gt_bits is false on NaN, so a NaN difference never
-    // exceeds the bound and the lane survives, matching consistent().
-    for (const auto& t : ties) {
-      if (alive_bits == 0) break;
-      ensure(t.first);
-      ensure(t.second);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[t.first] | verr_bits[t.second]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eu = verrs[t.first * W + l];
-          lane_err[l] =
-              eu != sketch::LaneError::kNone ? eu : verrs[t.second * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &= ~sketch::lane_abs_diff_gt_bits(
-          &vvals[t.first * W], &vvals[t.second * W], tie_bound);
-    }
+    pad_spare_lanes(holes_soa, n_holes, n);
+    alive_bits = check.run(holes_soa, n, alive_bits, 0, 0, lane_err,
+                           counters.lane_evals);
 
     // Drain the group in candidate order: survivors below an erroring lane
     // are appended before its EvalError is re-thrown, exactly as the scalar
@@ -309,23 +346,10 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
         sketch::throw_lane_error(lane_err[l]);
       }
       if (((alive_bits >> l) & 1u) == 0) continue;
-      Survivor s;
-      s.linear = base + static_cast<std::int64_t>(l);
-      s.assignment.index.assign(
-          idx.begin() + static_cast<std::ptrdiff_t>(l * n_holes),
-          idx.begin() + static_cast<std::ptrdiff_t>((l + 1) * n_holes));
-      s.hole_values.resize(n_holes);
+      out.linears.push_back(base + static_cast<std::int64_t>(l));
       for (std::size_t h = 0; h < n_holes; ++h) {
-        s.hole_values[h] = holes_soa[h * W + l];
+        out.values.push_back(holes_soa[h * kLanes + l]);
       }
-      // An alive lane was alive through every constraint check, so every
-      // evaluated vertex had its error flag inspected for this lane: all
-      // its values are clean and safe to memoize.
-      s.vertex_values.assign(n_vertices, kNotComputed);
-      for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vvals[v * W + l];
-      }
-      out.push_back(std::move(s));
     }
   }
 }
@@ -333,143 +357,36 @@ void GridFinder::enumerate_range_batch(std::int64_t lo, std::int64_t hi,
 void GridFinder::filter_range_batch(std::size_t lo, std::size_t hi,
                                     const pref::PreferenceGraph& graph,
                                     std::vector<char>& keep,
-                                    BatchCounters& counters) {
-  constexpr std::size_t W = sketch::kBatchLaneWidth;
-  const std::size_t n_vertices = graph.vertex_count();
+                                    BatchCounters& counters) const {
   const std::size_t n_holes = sketch_.holes().size();
-  const double tie_bound = config_.base.tie_tolerance + 1e-9;
-  const auto& edges = graph.edges();
-  const auto& ties = graph.ties();
+  LaneCheck check(batch_, graph, config_.base.tie_tolerance + 1e-9);
+  std::vector<double> holes_soa(n_holes * kLanes);
+  LaneErrors lane_err{};
 
-  std::vector<double> holes_soa(n_holes * W);
-  std::vector<double> vvals(n_vertices * W);
-  std::vector<sketch::LaneError> verrs(n_vertices * W);
-  std::vector<char> vdone(n_vertices, 0);
-  // Bit l of verr_bits[v] = lane l errored on vertex v (valid when vdone[v]).
-  std::vector<unsigned char> verr_bits(n_vertices, 0);
-  std::array<double, W> fresh_vals{};
-  std::array<sketch::LaneError, W> fresh_errs{};
-  std::array<sketch::LaneError, W> lane_err{};
-
-  for (std::size_t base = lo; base < hi; base += W) {
-    const std::size_t n = std::min(W, hi - base);
+  for (std::size_t base = lo; base < hi; base += kLanes) {
+    const std::size_t n = std::min(kLanes, hi - base);
     ++counters.groups;
-    unsigned alive_bits =
-        static_cast<unsigned>((1u << n) - 1);  // real lanes start alive
+    // Stage the group from n contiguous rows of the hole-value column. Only
+    // the new edges/ties are checked: every survivor already passed the
+    // older ones, and their endpoints are simply evaluated again — the tape
+    // is deterministic, so a re-evaluated vertex neither changes value nor
+    // raises where it did not before.
+    const double* rows = survivors_.values.data() + base * n_holes;
     for (std::size_t l = 0; l < n; ++l) {
-      const Survivor& s = survivors_[base + l];
       for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = s.hole_values[h];
+        holes_soa[h * kLanes + l] = rows[l * n_holes + h];
       }
-      lane_err[l] = sketch::LaneError::kNone;
     }
-    for (std::size_t l = n; l < W; ++l) {
-      for (std::size_t h = 0; h < n_holes; ++h) {
-        holes_soa[h * W + l] = holes_soa[h * W + (n - 1)];
-      }
-      lane_err[l] = sketch::LaneError::kNone;
-    }
-    std::fill(vdone.begin(), vdone.end(), char{0});
-
-    // Memo-aware vertex evaluation, the same contract as value_at: a lane
-    // with a cached (non-NaN) value for `v` reuses it and cannot error; the
-    // tape runs only when at least one lane lacks the memo. Evaluation is
-    // deterministic, so a memoized lane's recomputed value would be
-    // bit-identical anyway — using the memo just skips the work.
-    const auto ensure = [&](pref::VertexId v) {
-      if (vdone[v]) return;
-      vdone[v] = 1;
-      double* vals = &vvals[v * W];
-      sketch::LaneError* errs = &verrs[v * W];
-      bool any_fresh = false;
-      for (std::size_t l = 0; l < n; ++l) {
-        const Survivor& s = survivors_[base + l];
-        if (v < s.vertex_values.size() && !std::isnan(s.vertex_values[v])) {
-          vals[l] = s.vertex_values[v];
-          errs[l] = sketch::LaneError::kNone;
-        } else {
-          any_fresh = true;
-        }
-      }
-      if (!any_fresh) {
-        verr_bits[v] = 0;  // memoized values cannot error
-        return;
-      }
-      batch_.eval_lanes(graph.scenario(v).metrics, holes_soa,
-                        fresh_vals.data(), fresh_errs.data());
-      counters.lane_evals += static_cast<long long>(W);
-      unsigned bits = 0;
-      for (std::size_t l = 0; l < n; ++l) {
-        const Survivor& s = survivors_[base + l];
-        if (v < s.vertex_values.size() && !std::isnan(s.vertex_values[v])) {
-          continue;  // memo already copied above
-        }
-        vals[l] = fresh_vals[l];
-        errs[l] = fresh_errs[l];
-        if (errs[l] != sketch::LaneError::kNone) bits |= 1u << l;
-      }
-      verr_bits[v] = static_cast<unsigned char>(bits);
-    };
-
-    // Same bitmask pattern as enumerate_range_batch: scalar slow path only
-    // for erroring lanes, one vectorized mask per constraint otherwise.
-    for (std::size_t ei = edges_seen_; ei < edges.size(); ++ei) {
-      if (alive_bits == 0) break;
-      const auto& e = edges[ei];
-      ensure(e.better);
-      ensure(e.worse);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[e.better] | verr_bits[e.worse]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eb = verrs[e.better * W + l];
-          lane_err[l] =
-              eb != sketch::LaneError::kNone ? eb : verrs[e.worse * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &=
-          sketch::lane_gt_bits(&vvals[e.better * W], &vvals[e.worse * W]);
-    }
-    for (std::size_t ti = ties_seen_; ti < ties.size(); ++ti) {
-      if (alive_bits == 0) break;
-      const auto& t = ties[ti];
-      ensure(t.first);
-      ensure(t.second);
-      const unsigned err_mask =
-          static_cast<unsigned>(verr_bits[t.first] | verr_bits[t.second]) &
-          alive_bits;
-      if (err_mask != 0) {
-        for (unsigned bits = err_mask; bits != 0; bits &= bits - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(bits));
-          const sketch::LaneError eu = verrs[t.first * W + l];
-          lane_err[l] =
-              eu != sketch::LaneError::kNone ? eu : verrs[t.second * W + l];
-        }
-        alive_bits &= ~err_mask;
-      }
-      alive_bits &= ~sketch::lane_abs_diff_gt_bits(
-          &vvals[t.first * W], &vvals[t.second * W], tie_bound);
-    }
+    pad_spare_lanes(holes_soa, n_holes, n);
+    const unsigned alive_bits =
+        check.run(holes_soa, n, (1u << n) - 1, edges_seen_, ties_seen_,
+                  lane_err, counters.lane_evals);
 
     for (std::size_t l = 0; l < n; ++l) {
       if (lane_err[l] != sketch::LaneError::kNone) {
         sketch::throw_lane_error(lane_err[l]);
       }
-      if (((alive_bits >> l) & 1u) == 0) {
-        keep[base + l] = 0;
-        continue;
-      }
-      keep[base + l] = 1;
-      Survivor& s = survivors_[base + l];
-      if (s.vertex_values.size() < n_vertices) {
-        s.vertex_values.resize(n_vertices, kNotComputed);
-      }
-      for (std::size_t v = 0; v < n_vertices; ++v) {
-        if (vdone[v]) s.vertex_values[v] = vvals[v * W + l];
-      }
+      keep[base + l] = static_cast<char>((alive_bits >> l) & 1u);
     }
   }
 }
@@ -612,30 +529,29 @@ bool GridFinder::rebuild_pruned(const pref::PreferenceGraph& graph) {
     stride[h] = stride[h - 1] * holes[h - 1].count;
   }
 
-  // Enumerate the surviving leaves; each survivor carries its linear
-  // candidate index so the final sort reproduces the exhaustive scan order.
-  const auto enumerate_leaf = [&](const Node& nd, std::vector<Survivor>& out) {
-    const std::size_t n_vertices = graph.vertex_count();
-    Survivor scratch;
-    scratch.assignment.index = nd.lo;
-    scratch.hole_values.resize(n_holes);
+  // Enumerate the surviving leaves into linear candidate indices; the final
+  // sort reproduces the exhaustive scan order.
+  const auto enumerate_leaf = [&](const Node& nd,
+                                  std::vector<std::int64_t>& out) {
+    sketch::HoleAssignment cursor;
+    cursor.index = nd.lo;
+    std::vector<double> hole_values(n_holes);
+    VertexValues vertices;
     for (;;) {
-      scratch.linear = 0;
+      std::int64_t linear = 0;
       for (std::size_t h = 0; h < n_holes; ++h) {
-        scratch.hole_values[h] =
-            holes[h].value_at(scratch.assignment.index[h]);
-        scratch.linear += scratch.assignment.index[h] * stride[h];
+        hole_values[h] = holes[h].value_at(cursor.index[h]);
+        linear += cursor.index[h] * stride[h];
       }
       const bool viable =
-          !viability_.concrete || viability_.concrete(scratch.hole_values);
-      if (viable) {
-        scratch.vertex_values.assign(n_vertices, kNotComputed);
-        if (consistent(scratch, graph, 0, 0)) out.push_back(scratch);
+          !viability_.concrete || viability_.concrete(hole_values);
+      if (viable && consistent(hole_values, graph, 0, 0, vertices)) {
+        out.push_back(linear);
       }
       std::size_t pos = 0;
       while (pos < n_holes) {
-        if (++scratch.assignment.index[pos] <= nd.hi[pos]) break;
-        scratch.assignment.index[pos] = nd.lo[pos];
+        if (++cursor.index[pos] <= nd.hi[pos]) break;
+        cursor.index[pos] = nd.lo[pos];
         ++pos;
       }
       if (pos == n_holes) break;
@@ -649,7 +565,7 @@ bool GridFinder::rebuild_pruned(const pref::PreferenceGraph& graph) {
   std::int64_t leaf_volume = 0;
   for (const Node& nd : leaves) leaf_volume += volume_of(nd);
 
-  std::vector<Survivor> found;
+  std::vector<std::int64_t> found;
   util::ThreadPool* pool = this->pool();
   if (pool == nullptr || leaves.size() <= 1 ||
       leaf_volume < kMinParallelCandidates) {
@@ -659,41 +575,26 @@ bool GridFinder::rebuild_pruned(const pref::PreferenceGraph& graph) {
   } else {
     last_sync_threads_ = pool->size();
     last_sync_shards_ = leaves.size();
-    std::vector<std::vector<Survivor>> parts(leaves.size());
+    std::vector<std::vector<std::int64_t>> parts(leaves.size());
     pool->parallel_for(0, leaves.size(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t k = lo; k < hi; ++k) enumerate_leaf(leaves[k], parts[k]);
     });
-    std::size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    found.reserve(total);
-    for (auto& p : parts) {
-      for (Survivor& s : p) found.push_back(std::move(s));
-    }
+    for (const auto& p : parts) found.insert(found.end(), p.begin(), p.end());
   }
 
   // Replicate across pinned dimensions: the objective never reads them, so
-  // each replica shares the base survivor's memoized vertex values and its
-  // consistency verdict.
+  // each replica shares the base survivor's consistency verdict.
   for (const std::size_t p : pinned) {
-    const sketch::HoleSpec& spec = holes[p];
     const std::size_t base_n = found.size();
-    for (std::int64_t idx = 1; idx < spec.count; ++idx) {
-      const double val = spec.value_at(idx);
+    for (std::int64_t idx = 1; idx < holes[p].count; ++idx) {
       for (std::size_t i = 0; i < base_n; ++i) {
-        Survivor copy = found[i];
-        copy.linear += idx * stride[p];
-        copy.assignment.index[p] = idx;
-        copy.hole_values[p] = val;
-        found.push_back(std::move(copy));
+        found.push_back(found[i] + idx * stride[p]);
       }
     }
   }
 
-  std::sort(found.begin(), found.end(), [](const Survivor& a,
-                                           const Survivor& b) {
-    return a.linear < b.linear;
-  });
-  survivors_ = std::move(found);
+  std::sort(found.begin(), found.end());
+  assign_survivors(std::move(found));
 
   if (obs::active(obs_)) {
     obs_->count("analysis.pruned_regions", pruned_regions);
@@ -706,7 +607,7 @@ bool GridFinder::rebuild_pruned(const pref::PreferenceGraph& graph) {
           .integer("pruned_candidates", pruned_candidates)
           .integer("degenerate_dims", static_cast<long long>(pinned.size()))
           .integer("leaves", static_cast<long long>(leaves.size()))
-          .integer("survivors", static_cast<long long>(survivors_.size()));
+          .integer("survivors", static_cast<long long>(version_space_size()));
     }
   }
   return true;
@@ -721,7 +622,7 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
   if (!rebuild && !grown) return;  // already in line with `graph`
 
   obs::Span span(obs_, "grid_sync");
-  const std::size_t survivors_before = survivors_.size();
+  const std::size_t survivors_before = version_space_size();
   const long long new_edges =
       static_cast<long long>(graph.edges().size()) -
       static_cast<long long>(edges_seen_);
@@ -732,11 +633,30 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
   const bool batch_backend = config_.eval_backend == EvalBackend::kBatch;
   BatchCounters batch_tally;
 
+  // Concatenates per-shard column buffers in shard order, which reproduces
+  // the sequential survivor order exactly.
+  const auto join_parts = [&](const std::vector<Columns>& parts) {
+    std::size_t rows = 0, cells = 0;
+    for (const Columns& p : parts) {
+      rows += p.linears.size();
+      cells += p.values.size();
+    }
+    survivors_.linears.reserve(rows);
+    survivors_.values.reserve(cells);
+    for (const Columns& p : parts) {
+      survivors_.linears.insert(survivors_.linears.end(), p.linears.begin(),
+                                p.linears.end());
+      survivors_.values.insert(survivors_.values.end(), p.values.begin(),
+                               p.values.end());
+    }
+  };
+
   util::ThreadPool* pool = this->pool();
   bool pruned = false;
   bool distributed = false;
   if (rebuild) {
-    survivors_.clear();
+    survivors_.linears.clear();
+    survivors_.values.clear();
     // kBatch always runs the sharded exhaustive scan: interval refutation
     // costs more than it saves at lane-tape speeds (measured in
     // docs/EVALUATOR.md §Why kBatch skips analysis pruning), and the
@@ -750,8 +670,8 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       // space (shard_span), never of the thread count, so the shard list —
       // and the per-shard snapshot state derived from it — is identical
       // whether the scan runs serially or across a pool. Shards share no
-      // mutable state: each appends to its own part vector, merged here in
-      // shard order, which reproduces the sequential survivor order.
+      // mutable state: each appends to its own column buffers, joined here
+      // in shard order.
       const std::int64_t span_len = shard_span(total);
       const auto n_shards =
           static_cast<std::size_t>((total + span_len - 1) / span_len);
@@ -769,7 +689,7 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
         last_sync_shards_ = n_shards;
         last_sync_threads_ = 1;
       } else {
-        std::vector<std::vector<Survivor>> parts(n_shards);
+        std::vector<Columns> parts(n_shards);
         std::vector<BatchCounters> tallies(n_shards);
         if (obs::active(obs_)) shard_secs.assign(n_shards, 0);
         const auto run_shard = [&](std::size_t k) {
@@ -795,12 +715,7 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
         }
         shards = n_shards;
         last_sync_shards_ = n_shards;
-        std::size_t found = 0;
-        for (const auto& p : parts) found += p.size();
-        survivors_.reserve(found);
-        for (auto& p : parts) {
-          for (Survivor& s : p) survivors_.push_back(std::move(s));
-        }
+        join_parts(parts);
         for (const BatchCounters& t : tallies) {
           batch_tally.lane_evals += t.lane_evals;
           batch_tally.groups += t.groups;
@@ -814,15 +729,14 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       last_sync_shards_ = 1;
       enumerate_range(0, total, graph, survivors_);
     } else {
-      // Shard the linear candidate range; concatenating the per-chunk
-      // results in chunk order reproduces the sequential survivor order
-      // exactly, so parallelism never changes the version space.
+      // Shard the linear candidate range; joining the per-chunk results in
+      // chunk order means parallelism never changes the version space.
       const auto n_chunks = static_cast<std::size_t>(std::min<std::int64_t>(
           total, static_cast<std::int64_t>(pool->size() * 8)));
       const std::int64_t chunk =
           (total + static_cast<std::int64_t>(n_chunks) - 1) /
           static_cast<std::int64_t>(n_chunks);
-      std::vector<std::vector<Survivor>> parts(n_chunks);
+      std::vector<Columns> parts(n_chunks);
       shards = n_chunks;
       last_sync_threads_ = pool->size();
       last_sync_shards_ = n_chunks;
@@ -843,43 +757,38 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
           }
         }
       });
-      std::size_t found = 0;
-      for (const auto& p : parts) found += p.size();
-      survivors_.reserve(found);
-      for (auto& p : parts) {
-        for (Survivor& s : p) survivors_.push_back(std::move(s));
-      }
+      join_parts(parts);
     }
     initialized_ = true;
   } else {
-    // Incremental filter: only the new edges/ties are checked, and each
-    // survivor's memoized vertex values mean only newly interned scenarios
-    // are evaluated at all.
-    std::vector<char> keep(survivors_.size(), 1);
-    // Work estimate: each survivor re-checks only the new edges/ties (plus
-    // one freshly interned vertex evaluation at most). Late-loop syncs see a
-    // handful of survivors x one new edge — dispatching pool chunks for that
-    // costs more than the filter itself (the BENCH_eval "parallel" full-sync
-    // regression), so small workloads run on the caller.
+    // Incremental filter: only the new edges/ties are checked, then both
+    // columns are compacted in place.
+    std::vector<std::int64_t>& linears = survivors_.linears;
+    std::vector<double>& values = survivors_.values;
+    const std::size_t n_survivors = linears.size();
+    std::vector<char> keep(n_survivors, 1);
+    // Work estimate: each survivor re-checks only the new edges/ties. Late-
+    // loop syncs see a handful of survivors x one new edge — dispatching
+    // pool chunks for that costs more than the filter itself (the
+    // BENCH_eval "parallel" full-sync regression), so small workloads run
+    // on the caller.
     const std::size_t filter_work =
-        survivors_.size() *
-        (graph.edges().size() - edges_seen_ + graph.ties().size() -
-         ties_seen_ + 1);
+        n_survivors * (graph.edges().size() - edges_seen_ +
+                       graph.ties().size() - ties_seen_ + 1);
     constexpr std::size_t kMinParallelFilterWork = 8192;
     if (batch_backend) {
-      // survivors_ stays sorted by linear index, so each fixed-range shard
-      // owns a contiguous position range: find the boundaries by shard id
-      // (linear / span). Shards mutate only their own survivors' memos and
-      // keep slots — no shared mutable state until the compaction below.
+      // The linear column is ascending, so each fixed-range shard owns a
+      // contiguous position range: find the boundaries by shard id
+      // (linear / span). Shards write only their own keep slots — no shared
+      // mutable state until the compaction below.
       const std::int64_t span_len = shard_span(sketch_.candidate_space_size());
       std::vector<std::size_t> bounds{0};
-      for (std::size_t i = 1; i < survivors_.size(); ++i) {
-        if (survivors_[i].linear / span_len !=
-            survivors_[i - 1].linear / span_len) {
+      for (std::size_t i = 1; i < n_survivors; ++i) {
+        if (linears[i] / span_len != linears[i - 1] / span_len) {
           bounds.push_back(i);
         }
       }
-      bounds.push_back(survivors_.size());
+      bounds.push_back(n_survivors);
       const std::size_t n_ranges = bounds.size() - 1;
       std::vector<BatchCounters> tallies(n_ranges);
       if (obs::active(obs_)) shard_secs.assign(n_ranges, 0);
@@ -912,38 +821,48 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
       }
     } else {
       auto filter = [&](std::size_t lo, std::size_t hi) {
+        VertexValues vertices;
         for (std::size_t i = lo; i < hi; ++i) {
-          keep[i] =
-              consistent(survivors_[i], graph, edges_seen_, ties_seen_) ? 1
-                                                                        : 0;
+          keep[i] = consistent(survivor_row(i), graph, edges_seen_,
+                               ties_seen_, vertices)
+                        ? 1
+                        : 0;
         }
       };
       if (pool == nullptr || filter_work < kMinParallelFilterWork) {
         last_sync_threads_ = 1;
         last_sync_shards_ = 1;
-        filter(0, survivors_.size());
+        filter(0, n_survivors);
       } else {
         last_sync_threads_ = pool->size();
-        last_sync_shards_ = (survivors_.size() + 15) / 16;
-        pool->parallel_for(0, survivors_.size(), filter, /*min_chunk=*/16);
+        last_sync_shards_ = (n_survivors + 15) / 16;
+        pool->parallel_for(0, n_survivors, filter, /*min_chunk=*/16);
       }
     }
+    const std::size_t n_holes = sketch_.holes().size();
     std::size_t out = 0;
-    for (std::size_t i = 0; i < survivors_.size(); ++i) {
+    for (std::size_t i = 0; i < n_survivors; ++i) {
       if (!keep[i]) continue;
-      if (out != i) survivors_[out] = std::move(survivors_[i]);
+      if (out != i) {
+        linears[out] = linears[i];
+        const auto row = [&](std::size_t k) {
+          return values.begin() + static_cast<std::ptrdiff_t>(k * n_holes);
+        };
+        std::copy_n(row(i), n_holes, row(out));
+      }
       ++out;
     }
-    survivors_.resize(out);
+    linears.resize(out);
+    values.resize(out * n_holes);
   }
   edges_seen_ = graph.edges().size();
   ties_seen_ = graph.ties().size();
   util::log(util::LogLevel::kDebug, "GridFinder: version space size ",
-            survivors_.size());
+            version_space_size());
 
   if (obs::active(obs_)) {
     obs_->count("grid.syncs");
-    obs_->gauge("grid.survivors", static_cast<double>(survivors_.size()));
+    obs_->gauge("grid.survivors", static_cast<double>(version_space_size()));
     if (batch_backend) {
       obs_->count("grid.lane_evals", batch_tally.lane_evals);
       obs_->count("grid.batch_groups", batch_tally.groups);
@@ -957,7 +876,7 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
     if (obs::TraceEvent* e = span.event()) {
       e->str("mode", rebuild ? "full" : "incremental")
           .integer("pruned", pruned ? 1 : 0)
-          .integer("survivors", static_cast<long long>(survivors_.size()))
+          .integer("survivors", static_cast<long long>(version_space_size()))
           .integer("survivors_before",
                    static_cast<long long>(survivors_before))
           .integer("new_edges", new_edges)
@@ -982,11 +901,11 @@ void GridFinder::sync(const pref::PreferenceGraph& graph) {
   }
 }
 
-std::vector<double> GridFinder::boundary_values(
-    std::span<const double> hole_values, std::size_t metric) const {
+void GridFinder::append_boundary_values(std::span<const double> hole_values,
+                                        std::size_t metric,
+                                        std::vector<double>& out) const {
   const sketch::MetricSpec& m = sketch_.metrics()[metric];
   const double nudge = (m.hi - m.lo) * 1e-3;
-  std::vector<double> out{m.lo, m.hi};
   for (const double v : hole_values) {
     if (v > m.lo && v < m.hi) {
       out.push_back(v);
@@ -994,26 +913,40 @@ std::vector<double> GridFinder::boundary_values(
       out.push_back(std::max(m.lo, v - nudge));
     }
   }
-  return out;
 }
 
-std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
-                                                          const Survivor& b) {
+namespace {
+
+pref::Scenario scenario_of(std::span<const double> metrics) {
+  pref::Scenario s;
+  s.metrics.assign(metrics.begin(), metrics.end());
+  return s;
+}
+
+}  // namespace
+
+std::optional<DistinguishingPair> GridFinder::distinguish(
+    std::span<const double> a, std::span<const double> b) {
   const double margin = config_.base.distinguish_margin;
   const std::size_t n_metrics = sketch_.metrics().size();
+  PairScratch& scratch = pair_scratch_;
 
   // Boundary candidates per metric: hole values of either candidate (where
   // piecewise objectives flip regions), nudged to both sides, plus range
   // endpoints and midpoints.
-  std::vector<std::vector<double>> boundaries(n_metrics);
+  std::vector<std::vector<double>>& boundaries = scratch.boundaries;
+  boundaries.resize(n_metrics);
   std::size_t cross_size = 1;
   for (std::size_t m = 0; m < n_metrics; ++m) {
-    boundaries[m] = boundary_values(a.hole_values, m);
-    const std::vector<double> more = boundary_values(b.hole_values, m);
-    boundaries[m].insert(boundaries[m].end(), more.begin(), more.end());
     const sketch::MetricSpec& spec = sketch_.metrics()[m];
-    boundaries[m].push_back((spec.lo + spec.hi) / 2);
-    std::sort(boundaries[m].begin(), boundaries[m].end());
+    std::vector<double>& probes = boundaries[m];
+    probes.assign({spec.lo, spec.hi});
+    append_boundary_values(a, m, probes);
+    probes.push_back(spec.lo);
+    probes.push_back(spec.hi);
+    append_boundary_values(b, m, probes);
+    probes.push_back((spec.lo + spec.hi) / 2);
+    std::sort(probes.begin(), probes.end());
     // Dedupe with a tolerance relative to the metric range: boundary values
     // from the two candidates often differ only by rounding, and keeping
     // both would inflate cross_size past the deterministic-pass cutoff.
@@ -1021,45 +954,29 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
     // points are never merged.
     const double tol = (spec.hi - spec.lo) * 1e-6;
     std::size_t kept = 0;
-    for (const double v : boundaries[m]) {
-      if (kept == 0 || v - boundaries[m][kept - 1] > tol) {
-        boundaries[m][kept++] = v;
-      }
+    for (const double v : probes) {
+      if (kept == 0 || v - probes[kept - 1] > tol) probes[kept++] = v;
     }
-    boundaries[m].resize(kept);
-    cross_size *= boundaries[m].size();
+    probes.resize(kept);
+    cross_size *= probes.size();
   }
-
-  auto check = [&](const pref::Scenario& s1, const pref::Scenario& s2)
-      -> std::optional<DistinguishingPair> {
-    const double fa1 = objective(a.hole_values, s1.metrics);
-    const double fa2 = objective(a.hole_values, s2.metrics);
-    const double fb1 = objective(b.hole_values, s1.metrics);
-    const double fb2 = objective(b.hole_values, s2.metrics);
-    if (fa1 >= fa2 + margin && fb2 >= fb1 + margin) {
-      return DistinguishingPair{s1, s2};
-    }
-    if (fa2 >= fa1 + margin && fb1 >= fb2 + margin) {
-      return DistinguishingPair{s2, s1};
-    }
-    return std::nullopt;
-  };
 
   // Deterministic pass: for objectives that are piecewise products of the
   // metrics (the SWAN family), any ranking disagreement is witnessed at the
   // cross product of boundary values. Enumerate it when small enough.
   if (cross_size <= 1024) {
-    std::vector<pref::Scenario> grid_points;
-    grid_points.reserve(cross_size);
-    std::vector<std::size_t> idx(n_metrics, 0);
+    std::vector<double>& points = scratch.points;
+    points.clear();
+    std::vector<std::size_t>& idx = scratch.cursor;
+    idx.assign(n_metrics, 0);
     for (;;) {
-      pref::Scenario s;
-      s.metrics.reserve(n_metrics);
+      const std::size_t row = points.size();
       for (std::size_t m = 0; m < n_metrics; ++m) {
-        s.metrics.push_back(boundaries[m][idx[m]]);
+        points.push_back(boundaries[m][idx[m]]);
       }
-      if (domain_contains(sketch_, domain_, s.metrics)) {
-        grid_points.push_back(std::move(s));
+      if (!domain_contains(sketch_, domain_,
+                           std::span<const double>(points).subspan(row))) {
+        points.resize(row);
       }
       std::size_t pos = 0;
       while (pos < n_metrics && ++idx[pos] == boundaries[pos].size()) {
@@ -1067,19 +984,29 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
       }
       if (pos == n_metrics) break;
     }
+    const std::size_t n_points = points.size() / n_metrics;
+    const auto point = [&](std::size_t i) {
+      return std::span<const double>(points).subspan(i * n_metrics, n_metrics);
+    };
     // Cache both candidates' values so each pair test is two comparisons.
-    const std::vector<double> fa = objective_batch(a.hole_values, grid_points);
-    const std::vector<double> fb = objective_batch(b.hole_values, grid_points);
+    scratch.fa.resize(n_points);
+    scratch.fb.resize(n_points);
+    objective_batch(a, points, scratch.fa);
+    objective_batch(b, points, scratch.fb);
+    const std::vector<double>& fa = scratch.fa;
+    const std::vector<double>& fb = scratch.fb;
     // Randomize the scan order so repeated calls surface different pairs
     // (the synthesizer wants fresh scenarios each iteration).
-    std::vector<std::size_t> order(grid_points.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::vector<std::size_t>& order = scratch.order;
+    order.resize(n_points);
+    for (std::size_t i = 0; i < n_points; ++i) order[i] = i;
     rng_.shuffle(order);
     for (const std::size_t i : order) {
       for (const std::size_t j : order) {
         if (i == j) continue;  // a scenario can never distinguish from itself
         if (fa[i] >= fa[j] + margin && fb[j] >= fb[i] + margin) {
-          return DistinguishingPair{grid_points[i], grid_points[j]};
+          return DistinguishingPair{scenario_of(point(i)),
+                                    scenario_of(point(j))};
         }
       }
     }
@@ -1087,28 +1014,37 @@ std::optional<DistinguishingPair> GridFinder::distinguish(const Survivor& a,
 
   // Randomized fallback for sketch families whose disagreements are not
   // boundary-witnessed (or whose boundary cross product is too large).
-  auto sample_scenario = [&] {
-    pref::Scenario s;
-    s.metrics.reserve(n_metrics);
+  const auto sample_scenario = [&](std::vector<double>& s) {
+    s.clear();
     for (std::size_t m = 0; m < n_metrics; ++m) {
       const sketch::MetricSpec& spec = sketch_.metrics()[m];
       if (rng_.bernoulli(0.5)) {
-        s.metrics.push_back(rng_.uniform_real(spec.lo, spec.hi));
+        s.push_back(rng_.uniform_real(spec.lo, spec.hi));
       } else {
-        s.metrics.push_back(boundaries[m][rng_.index(boundaries[m].size())]);
+        s.push_back(boundaries[m][rng_.index(boundaries[m].size())]);
       }
     }
-    return s;
   };
+  std::vector<double>& s1 = scratch.sample1;
+  std::vector<double>& s2 = scratch.sample2;
   for (int i = 0; i < config_.scenario_samples; ++i) {
-    const pref::Scenario s1 = sample_scenario();
-    const pref::Scenario s2 = sample_scenario();
+    sample_scenario(s1);
+    sample_scenario(s2);
     if (domain_.constraint != nullptr &&
-        (!domain_contains(sketch_, domain_, s1.metrics) ||
-         !domain_contains(sketch_, domain_, s2.metrics))) {
+        (!domain_contains(sketch_, domain_, s1) ||
+         !domain_contains(sketch_, domain_, s2))) {
       continue;
     }
-    if (auto hit = check(s1, s2)) return hit;
+    const double fa1 = objective(a, s1);
+    const double fa2 = objective(a, s2);
+    const double fb1 = objective(b, s1);
+    const double fb2 = objective(b, s2);
+    if (fa1 >= fa2 + margin && fb2 >= fb1 + margin) {
+      return DistinguishingPair{scenario_of(s1), scenario_of(s2)};
+    }
+    if (fa2 >= fa1 + margin && fb1 >= fb2 + margin) {
+      return DistinguishingPair{scenario_of(s2), scenario_of(s1)};
+    }
   }
   return std::nullopt;
 }
@@ -1128,12 +1064,13 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   // The span covers the candidate-pair search proper (sync has its own
   // "grid_sync" event above); `note` stamps the outcome just before return.
   obs::Span span(obs_, "pair_search");
+  const std::size_t n_survivors = version_space_size();
   auto note = [&](const char* status, std::size_t examined,
                   std::size_t witnesses, std::size_t pairs) {
     if (obs_ != nullptr) obs_->count("grid.pair_searches");
     if (obs::TraceEvent* e = span.event()) {
       e->str("status", status)
-          .integer("survivors", static_cast<long long>(survivors_.size()))
+          .integer("survivors", static_cast<long long>(n_survivors))
           .integer("examined", static_cast<long long>(examined))
           .integer("witnesses", static_cast<long long>(witnesses))
           .integer("pairs", static_cast<long long>(pairs))
@@ -1143,34 +1080,34 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
     }
   };
 
-  if (survivors_.empty()) {
+  if (n_survivors == 0) {
     note("no_candidate", 0, 0, 0);
     FinderResult res;
     res.status = FinderStatus::kNoCandidate;
     return res;
   }
-  if (survivors_.size() == 1) {
+  if (n_survivors == 1) {
     note("unique_ranking", 0, 0, 0);
     FinderResult res;
     res.status = FinderStatus::kUniqueRanking;
-    res.candidate_a = survivors_.front().assignment;
+    res.candidate_a = survivor_assignment(0);
     return res;
   }
 
   // Candidate pair schedule: exhaustive for small version spaces (so the
   // "unique ranking" verdict is as strong as possible), random otherwise.
   std::vector<std::pair<std::size_t, std::size_t>> schedule;
-  if (survivors_.size() <= 48) {
-    for (std::size_t i = 0; i < survivors_.size(); ++i) {
-      for (std::size_t j = i + 1; j < survivors_.size(); ++j) {
+  if (n_survivors <= 48) {
+    for (std::size_t i = 0; i < n_survivors; ++i) {
+      for (std::size_t j = i + 1; j < n_survivors; ++j) {
         schedule.emplace_back(i, j);
       }
     }
     rng_.shuffle(schedule);
   } else {
     for (int attempt = 0; attempt < config_.candidate_pair_budget; ++attempt) {
-      const std::size_t ia = rng_.index(survivors_.size());
-      std::size_t ib = rng_.index(survivors_.size() - 1);
+      const std::size_t ia = rng_.index(n_survivors);
+      std::size_t ib = rng_.index(n_survivors - 1);
       if (ib >= ia) ++ib;
       schedule.emplace_back(ia, ib);
     }
@@ -1200,7 +1137,7 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
       return res;
     }
     ++examined;
-    if (auto pair = distinguish(survivors_[ia], survivors_[ib])) {
+    if (auto pair = distinguish(survivor_row(ia), survivor_row(ib))) {
       witnesses.push_back(Witness{ia, ib, *std::move(pair)});
     }
   }
@@ -1211,7 +1148,7 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
     note("unique_ranking", schedule.size(), 0, 0);
     FinderResult res;
     res.status = FinderStatus::kUniqueRanking;
-    res.candidate_a = survivors_.front().assignment;
+    res.candidate_a = survivor_assignment(0);
     return res;
   }
 
@@ -1229,9 +1166,9 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
       auto score = [&](std::size_t lo, std::size_t hi) {
         long local_1 = 0, local_2 = 0;
         for (std::size_t i = lo; i < hi; ++i) {
-          const Survivor& cand = survivors_[i];
-          const double f1 = objective(cand.hole_values, p.preferred_by_a.metrics);
-          const double f2 = objective(cand.hole_values, p.preferred_by_b.metrics);
+          const std::span<const double> cand = survivor_row(i);
+          const double f1 = objective(cand, p.preferred_by_a.metrics);
+          const double f2 = objective(cand, p.preferred_by_b.metrics);
           if (f1 > f2) ++local_1;
           else if (f2 > f1) ++local_2;
         }
@@ -1239,9 +1176,9 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
         prefer_2 += local_2;
       };
       if (pool == nullptr) {
-        score(0, survivors_.size());
+        score(0, n_survivors);
       } else {
-        pool->parallel_for(0, survivors_.size(), score, /*min_chunk=*/64);
+        pool->parallel_for(0, n_survivors, score, /*min_chunk=*/64);
       }
       const long score_w = std::min(prefer_1.load(), prefer_2.load());
       if (score_w > best_score) {
@@ -1255,15 +1192,16 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
   res.status = FinderStatus::kFound;
   const std::size_t chosen_a = witnesses[chosen].ia;
   const std::size_t chosen_b = witnesses[chosen].ib;
-  res.candidate_a = survivors_[chosen_a].assignment;
-  res.candidate_b = survivors_[chosen_b].assignment;
+  res.candidate_a = survivor_assignment(chosen_a);
+  res.candidate_b = survivor_assignment(chosen_b);
   res.pairs.push_back(std::move(witnesses[chosen].pair));
 
   // Additional pairs (Fig. 4 protocol) come from the same candidate pair.
   for (int tries = 0;
        static_cast<int>(res.pairs.size()) < num_pairs && tries < 4 * num_pairs;
        ++tries) {
-    const auto pair = distinguish(survivors_[chosen_a], survivors_[chosen_b]);
+    const auto pair =
+        distinguish(survivor_row(chosen_a), survivor_row(chosen_b));
     if (!pair) break;
     const bool duplicate = std::any_of(
         res.pairs.begin(), res.pairs.end(), [&](const DistinguishingPair& p) {
@@ -1279,13 +1217,40 @@ FinderResult GridFinder::find_distinguishing(const pref::PreferenceGraph& graph,
 std::optional<sketch::HoleAssignment> GridFinder::find_consistent(
     const pref::PreferenceGraph& graph) {
   sync(graph);
-  if (survivors_.empty()) return std::nullopt;
-  return survivors_.front().assignment;
+  if (version_space_size() == 0) return std::nullopt;
+  return survivor_assignment(0);
 }
 
 namespace {
 
 constexpr char kGridStateTag[] = "gridfinder";
+
+// Decodes a survivor bitmap over candidates [lo, lo + len): bit j%8 of byte
+// j/8 marks candidate lo + j, each byte two lowercase hex digits, high
+// nibble first. Appends the marked candidates in ascending order. One hex
+// digit carries bits j..j+3 for j%4 == 0, so the scan goes a digit at a
+// time; only digits that hold a bit below `len` are read. Returns false on a
+// digit that is not lowercase hex.
+bool decode_bitmap(const std::string& hex, std::int64_t lo, std::int64_t len,
+                   std::vector<std::int64_t>& out) {
+  for (std::int64_t j = 0; j < len; j += 4) {
+    const char c =
+        hex[static_cast<std::size_t>(j / 8) * 2 + (j % 8 == 0 ? 1 : 0)];
+    int nib = 0;
+    if (c >= '0' && c <= '9') {
+      nib = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      nib = c - 'a' + 10;
+    } else {
+      return false;
+    }
+    const std::int64_t bits = std::min<std::int64_t>(4, len - j);
+    for (std::int64_t b = 0; b < bits && nib != 0; ++b, nib >>= 1) {
+      if (nib & 1) out.push_back(lo + j + b);
+    }
+  }
+  return true;
+}
 // v2 stores the survivor set as one bitmap per fixed-range shard
 // (self-describing [lo, hi) ranges); v1 single-bitmap blobs still restore.
 constexpr int kGridStateVersion = 2;
@@ -1301,35 +1266,27 @@ std::string GridFinder::save_state() const {
   const std::int64_t span_len = shard_span(total);
   const auto n_shards =
       static_cast<std::size_t>((total + span_len - 1) / span_len);
-  std::vector<std::int64_t> stride(sketch_.holes().size(), 1);
-  for (std::size_t h = 1; h < stride.size(); ++h) {
-    stride[h] = stride[h - 1] * sketch_.holes()[h - 1].count;
-  }
-  // Per-shard survivor lists by linear index, rendered through the shared
-  // record encoder (encode_shard_blob — the same lines the dist workers
-  // produce). The linear index is recomputed from the assignment (not taken
-  // from Survivor::linear) so serialization never depends on that cache
-  // being fresh.
-  std::vector<std::vector<std::int64_t>> linears(n_shards);
-  for (const Survivor& s : survivors_) {
-    std::int64_t linear = 0;
-    for (std::size_t h = 0; h < stride.size(); ++h) {
-      linear += s.assignment.index[h] * stride[h];
-    }
-    linears[static_cast<std::size_t>(linear / span_len)].push_back(linear);
-  }
   std::ostringstream os;
   os << kGridStateTag << ' ' << kGridStateVersion << '\n'
      << "rng " << rng_.save_state() << '\n'
      << "seen " << (initialized_ ? 1 : 0) << ' ' << edges_seen_ << ' '
      << ties_seen_ << '\n'
      << "shards " << n_shards << ' ' << span_len << ' ' << total << ' '
-     << survivors_.size() << '\n';
+     << version_space_size() << '\n';
+  // The linear column is ascending, so each shard's survivors are the next
+  // run of it below the shard's upper bound; each run is rendered through
+  // the shared record encoder (encode_shard_blob — the same lines the dist
+  // workers produce).
+  const std::vector<std::int64_t>& linears = survivors_.linears;
+  std::vector<std::int64_t> run;
+  auto next = linears.begin();
   for (std::size_t k = 0; k < n_shards; ++k) {
     const std::int64_t lo = static_cast<std::int64_t>(k) * span_len;
     const std::int64_t hi = std::min<std::int64_t>(total, lo + span_len);
-    std::sort(linears[k].begin(), linears[k].end());
-    os << encode_shard_blob(k, lo, hi, linears[k]) << '\n';
+    const auto end = std::lower_bound(next, linears.end(), hi);
+    run.assign(next, end);
+    next = end;
+    os << encode_shard_blob(k, lo, hi, run) << '\n';
   }
   return os.str();
 }
@@ -1349,16 +1306,27 @@ std::string GridFinder::encode_shard_blob(
   std::ostringstream os;
   os << "shard " << index << ' ' << lo << ' ' << hi << ' ' << linears.size()
      << ' ';
+  std::string record = os.str();
+  record.reserve(record.size() + 2 * bitmap.size());
   static constexpr char kHex[] = "0123456789abcdef";
   for (const char byte : bitmap) {
     const auto u = static_cast<unsigned char>(byte);
-    os << kHex[u >> 4] << kHex[u & 0xf];
+    record += kHex[u >> 4];
+    record += kHex[u & 0xf];
   }
-  return os.str();
+  return record;
 }
 
 GridFinder::ParsedShardBlob GridFinder::parse_shard_blob(
     const std::string& record) {
+  std::vector<std::int64_t> linears;
+  ParsedShardBlob blob = decode_shard_blob(record, linears);
+  blob.linears = std::move(linears);
+  return blob;
+}
+
+GridFinder::ParsedShardBlob GridFinder::decode_shard_blob(
+    const std::string& record, std::vector<std::int64_t>& linears) {
   const auto bad = [](const char* why) {
     throw std::invalid_argument(std::string("shard record: ") + why);
   };
@@ -1380,20 +1348,11 @@ GridFinder::ParsedShardBlob GridFinder::parse_shard_blob(
     bad(hex.size() < 2 * bytes ? "bitmap truncated mid-record"
                                : "bitmap longer than the shard range");
   }
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  blob.linears.reserve(count);
-  for (std::int64_t j = 0; j < blob.hi - blob.lo; ++j) {
-    const char c =
-        hex[static_cast<std::size_t>(j / 8) * 2 + (j % 8 < 4 ? 1 : 0)];
-    const int nib = nibble(c);
-    if (nib < 0) bad("bitmap is not lowercase hex");
-    if ((nib >> (j % 4)) & 1) blob.linears.push_back(blob.lo + j);
+  const std::size_t first = linears.size();
+  if (!decode_bitmap(hex, blob.lo, blob.hi - blob.lo, linears)) {
+    bad("bitmap is not lowercase hex");
   }
-  if (blob.linears.size() != count) {
+  if (linears.size() - first != count) {
     bad("survivor count disagrees with the bitmap");
   }
   return blob;
@@ -1419,25 +1378,10 @@ std::string GridFinder::sync_shard_blob(const pref::PreferenceGraph& graph,
   if (lo < 0 || hi <= lo || hi > sketch_.candidate_space_size()) {
     throw std::invalid_argument("sync_shard_blob: range outside the grid");
   }
-  std::vector<Survivor> found;
+  Columns found;
   BatchCounters tally;
   enumerate_range_batch(lo, hi, graph, found, tally);
-  std::vector<std::int64_t> linears;
-  linears.reserve(found.size());
-  for (const Survivor& s : found) linears.push_back(s.linear);
-  return encode_shard_blob(index, lo, hi, linears);
-}
-
-Survivor GridFinder::materialize_survivor(std::int64_t linear) const {
-  const auto& holes = sketch_.holes();
-  Survivor s;
-  s.linear = linear;
-  s.assignment = assignment_at(linear);
-  s.hole_values.resize(holes.size());
-  for (std::size_t h = 0; h < holes.size(); ++h) {
-    s.hole_values[h] = holes[h].value_at(s.assignment.index[h]);
-  }
-  return s;
+  return encode_shard_blob(index, lo, hi, found.linears);
 }
 
 bool GridFinder::rebuild_remote(const pref::PreferenceGraph& graph,
@@ -1459,18 +1403,15 @@ bool GridFinder::rebuild_remote(const pref::PreferenceGraph& graph,
     return false;
   }
   if (!records || records->size() != n_shards) return false;
-  // Decode into a scratch vector first: a torn record must leave survivors_
-  // empty for the local fallback, never half-merged.
-  std::vector<Survivor> merged;
+  // Decode every record before touching the columns: a torn record must
+  // leave survivors_ empty for the local fallback, never half-merged.
+  std::vector<std::int64_t> linears;
   try {
     for (std::size_t k = 0; k < n_shards; ++k) {
-      const ParsedShardBlob blob = parse_shard_blob((*records)[k]);
+      const ParsedShardBlob blob = decode_shard_blob((*records)[k], linears);
       if (blob.index != ranges[k].index || blob.lo != ranges[k].lo ||
           blob.hi != ranges[k].hi) {
         throw std::invalid_argument("shard record: range mismatch");
-      }
-      for (const std::int64_t linear : blob.linears) {
-        merged.push_back(materialize_survivor(linear));
       }
     }
   } catch (const std::exception& ex) {
@@ -1479,7 +1420,7 @@ bool GridFinder::rebuild_remote(const pref::PreferenceGraph& graph,
               "); falling back to local scan");
     return false;
   }
-  survivors_ = std::move(merged);
+  assign_survivors(std::move(linears));
   return true;
 }
 
@@ -1505,18 +1446,9 @@ void GridFinder::restore_state(const std::string& state) {
     bad_grid_state("malformed seen section");
   }
 
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  // Decode into a fresh survivor vector first so a throw leaves `this`
-  // untouched; hole values are re-materialized from the grid and the vertex
-  // memoization restarts empty (value_at fills it deterministically).
-  std::vector<Survivor> restored;
-  const auto materialize = [&](std::int64_t linear) {
-    restored.push_back(materialize_survivor(linear));
-  };
+  // Decode into a fresh linear column first so a throw leaves `this`
+  // untouched; the hole values are re-materialized from the grid at the end.
+  std::vector<std::int64_t> restored;
 
   std::size_t survivor_count = 0;
   if (version == 1) {
@@ -1533,13 +1465,10 @@ void GridFinder::restore_state(const std::string& state) {
     if (!(in >> hex)) bad_grid_state("truncated bitmap");
     const std::size_t bytes = static_cast<std::size_t>((total + 7) / 8);
     if (hex.size() != 2 * bytes) bad_grid_state("bitmap length mismatch");
-    restored.reserve(survivor_count);
-    for (std::int64_t i = 0; i < total; ++i) {
-      const char c =
-          hex[static_cast<std::size_t>(i / 8) * 2 + (i % 8 < 4 ? 1 : 0)];
-      const int nib = nibble(c);
-      if (nib < 0) bad_grid_state("bitmap is not lowercase hex");
-      if ((nib >> (i % 4)) & 1) materialize(i);
+    restored.reserve(std::min<std::size_t>(survivor_count,
+                                           static_cast<std::size_t>(total)));
+    if (!decode_bitmap(hex, 0, total, restored)) {
+      bad_grid_state("bitmap is not lowercase hex");
     }
   } else {
     // v2: one bitmap per shard. The `shard` lines are self-describing
@@ -1556,13 +1485,14 @@ void GridFinder::restore_state(const std::string& state) {
       bad_grid_state(
           "candidate space size mismatch (different sketch/config?)");
     }
-    restored.reserve(survivor_count);
+    restored.reserve(std::min<std::size_t>(survivor_count,
+                                           static_cast<std::size_t>(total)));
     std::int64_t next_lo = 0;
     for (std::size_t k = 0; k < n_shards; ++k) {
-      // Each shard record is one line; parse_shard_blob is the single
+      // Each shard record is one line; decode_shard_blob is the single
       // validator for its structure (shared with the dist merge path), so a
       // blob torn mid-bitmap is rejected with the same specific error here
-      // and there.
+      // and there. It appends the shard's survivors straight to `restored`.
       std::string line;
       do {
         if (!std::getline(in, line)) bad_grid_state("missing shard line");
@@ -1572,7 +1502,7 @@ void GridFinder::restore_state(const std::string& state) {
       } while (line.empty());
       ParsedShardBlob blob;
       try {
-        blob = parse_shard_blob(line);
+        blob = decode_shard_blob(line, restored);
       } catch (const std::invalid_argument& ex) {
         bad_grid_state(ex.what());
       }
@@ -1581,7 +1511,6 @@ void GridFinder::restore_state(const std::string& state) {
         bad_grid_state("shards do not tile the candidate space");
       }
       next_lo = blob.hi;
-      for (const std::int64_t linear : blob.linears) materialize(linear);
     }
     if (next_lo != total) {
       bad_grid_state("shards do not tile the candidate space");
@@ -1595,7 +1524,7 @@ void GridFinder::restore_state(const std::string& state) {
   rng.restore_state(rng_line);  // throws before any member is mutated
 
   rng_ = std::move(rng);
-  survivors_ = std::move(restored);
+  assign_survivors(std::move(restored));
   initialized_ = initialized != 0;
   edges_seen_ = edges_seen;
   ties_seen_ = ties_seen;

@@ -9,11 +9,14 @@
 // The engine is built for bulk scoring: sketches are lowered once to a flat
 // instruction tape (sketch/compile.h) instead of re-walking the AST per
 // evaluation, the initial grid enumeration and the incremental filter are
-// sharded across a thread pool (util/thread_pool.h), each survivor's hole
-// values are materialized once, and survivors memoize their objective value
-// at every interned graph vertex so re-filtering after new answers touches
-// only the new edges. bench/bench_eval.cpp tracks the speedup over the tree
-// interpreter; tests/compile_test.cpp proves backend equivalence.
+// sharded across a thread pool (util/thread_pool.h), and the version space is
+// stored as two flat columns — ascending linear candidate indices and the
+// survivors' hole values, row-major — so a sync streams contiguous rows into
+// the lane tape and compacts both columns in place. Re-filtering after new
+// answers checks only the new edges/ties, evaluating their endpoints afresh
+// (evaluation is deterministic, so nothing needs caching across syncs).
+// bench/bench_eval.cpp tracks the speedup over the tree interpreter;
+// tests/compile_test.cpp proves backend equivalence.
 //
 // Compared to Z3Finder:
 //   + no SMT dependency, trivially debuggable, very fast per query;
@@ -99,25 +102,8 @@ struct GridFinderConfig {
   /// falls back to the local scan, so a configured backend can only change
   /// where the work runs, never whether the sync completes or what it
   /// produces (docs/DISTRIBUTED.md §Equivalence). Incremental filters
-  /// always run locally (they mutate survivor memos in place).
+  /// always run locally (they compact the survivor columns in place).
   ShardSyncBackend* shard_backend = nullptr;
-};
-
-/// One version-space member plus everything the engine caches for it.
-struct Survivor {
-  sketch::HoleAssignment assignment;
-  /// assignment mapped through the hole grids, computed exactly once.
-  std::vector<double> hole_values;
-  /// Objective value at each interned graph vertex, filled lazily (NaN =
-  /// not computed yet). Vertices are immutable once interned, so entries
-  /// never need invalidation; incremental filtering only evaluates vertices
-  /// first referenced by new edges/ties.
-  std::vector<double> vertex_values;
-  /// Linear candidate index over the hole grid (index 0 fastest-varying,
-  /// see GridFinder::assignment_at). survivors_ is always sorted ascending
-  /// by this, so fixed-range shards are contiguous subranges and the
-  /// serialized per-shard bitmaps partition the survivor set.
-  std::int64_t linear = -1;
 };
 
 class GridFinder final : public CandidateFinder {
@@ -138,8 +124,18 @@ class GridFinder final : public CandidateFinder {
   void sync(const pref::PreferenceGraph& graph);
 
   /// Survivors consistent with the most recently seen graph state.
-  std::size_t version_space_size() const { return survivors_.size(); }
-  const std::vector<Survivor>& survivors() const { return survivors_; }
+  std::size_t version_space_size() const { return survivors_.linears.size(); }
+  /// The survivors' linear candidate indices over the hole grid, ascending
+  /// (index 0 fastest-varying, see survivor_assignment). Fixed-range shards
+  /// are therefore contiguous subranges, and the serialized per-shard
+  /// bitmaps partition the survivor set.
+  std::span<const std::int64_t> survivor_linears() const {
+    return survivors_.linears;
+  }
+  /// The hole assignment of survivor `i` (0 <= i < version_space_size()).
+  sketch::HoleAssignment survivor_assignment(std::size_t i) const {
+    return assignment_at(survivors_.linears[i]);
+  }
 
   /// Executor threads / shards the most recent sync() actually used (1 when
   /// the work was too small to shard and ran serially — see the work-size
@@ -167,8 +163,7 @@ class GridFinder final : public CandidateFinder {
   /// multi-worker split can emit one shard per worker with no format
   /// change — docs/EVALUATOR.md §Shard state). v1 single-bitmap blobs from
   /// older snapshots still restore. Survivor hole values are
-  /// re-materialized from the grid on restore and the per-vertex objective
-  /// memoization is rebuilt lazily (deterministic), so a restored finder
+  /// re-materialized from the grid on restore, so a restored finder
   /// continues the identical query sequence.
   std::string save_state() const override;
   void restore_state(const std::string& state) override;
@@ -211,31 +206,56 @@ class GridFinder final : public CandidateFinder {
                               std::int64_t hi) const;
 
  private:
-  bool consistent(Survivor& s, const pref::PreferenceGraph& graph,
-                  std::size_t first_edge, std::size_t first_tie) const;
-  /// The survivor's objective at vertex `v`, memoized in vertex_values.
-  double value_at(Survivor& s, const pref::PreferenceGraph& graph,
-                  pref::VertexId v) const;
-  /// One evaluation through the configured backend.
-  double objective(std::span<const double> hole_values,
-                   std::span<const double> metrics) const;
-  /// Batched evaluation of many scenarios under one candidate.
-  std::vector<double> objective_batch(
-      std::span<const double> hole_values,
-      const std::vector<pref::Scenario>& scenarios) const;
-  /// Decodes a linear candidate index into a hole assignment (index 0 is
-  /// the fastest-varying digit, matching odometer order).
-  sketch::HoleAssignment assignment_at(std::int64_t linear) const;
-  /// Full enumeration of grid candidates [lo, hi) (linear indices),
-  /// appending survivors in order.
-  void enumerate_range(std::int64_t lo, std::int64_t hi,
-                       const pref::PreferenceGraph& graph,
-                       std::vector<Survivor>& out) const;
+  /// The version space in column form: survivor i has linear candidate index
+  /// linears[i] (ascending) and hole values values[i*H, (i+1)*H) for the
+  /// sketch's H holes. Shard scans fill one of these each; the finder's own
+  /// survivor set is one too.
+  struct Columns {
+    std::vector<std::int64_t> linears;
+    std::vector<double> values;
+  };
+  /// Objective values of the one candidate under test at the graph's
+  /// vertices, each computed on first use. The scalar scans reuse one per
+  /// scan; reset() starts the next candidate.
+  struct VertexValues {
+    std::vector<double> value;
+    std::vector<char> done;
+    void reset(std::size_t n_vertices) {
+      done.assign(n_vertices, 0);
+      value.resize(n_vertices);
+    }
+  };
   /// Per-shard evaluation tallies, summed into the grid_sync trace event.
   struct BatchCounters {
     long long lane_evals = 0;  // lanes pushed through BatchTape::eval_lanes
     long long groups = 0;      // kLaneWidth-candidate groups formed
   };
+
+  /// Scalar consistency check of one candidate against edges/ties from
+  /// `first_edge`/`first_tie` on, evaluating each vertex at most once.
+  bool consistent(std::span<const double> hole_values,
+                  const pref::PreferenceGraph& graph, std::size_t first_edge,
+                  std::size_t first_tie, VertexValues& vertices) const;
+  /// One evaluation through the configured backend.
+  double objective(std::span<const double> hole_values,
+                   std::span<const double> metrics) const;
+  /// Evaluates one candidate at out.size() scenarios stored row-major in
+  /// `metrics_flat`.
+  void objective_batch(std::span<const double> hole_values,
+                       std::span<const double> metrics_flat,
+                       std::span<double> out) const;
+  /// Decodes a linear candidate index into a hole assignment (index 0 is
+  /// the fastest-varying digit, matching odometer order).
+  sketch::HoleAssignment assignment_at(std::int64_t linear) const;
+  /// Hole values of survivor `i` (a row of survivors_.values).
+  std::span<const double> survivor_row(std::size_t i) const;
+  /// Makes `linears` (ascending) the version space, decoding each
+  /// survivor's hole values from the grid.
+  void assign_survivors(std::vector<std::int64_t> linears);
+  /// Full enumeration of grid candidates [lo, hi) (linear indices),
+  /// appending survivors in order.
+  void enumerate_range(std::int64_t lo, std::int64_t hi,
+                       const pref::PreferenceGraph& graph, Columns& out) const;
   /// Fixed-range shard width for `total` candidates. A pure function of the
   /// candidate-space size — never of thread count — so shard geometry (and
   /// therefore the serialized per-shard state) is machine-independent.
@@ -245,17 +265,16 @@ class GridFinder final : public CandidateFinder {
   /// order. Sequence and error behaviour are bit-for-bit those of
   /// enumerate_range (lane errors re-thrown in candidate order).
   void enumerate_range_batch(std::int64_t lo, std::int64_t hi,
-                             const pref::PreferenceGraph& graph,
-                             std::vector<Survivor>& out,
+                             const pref::PreferenceGraph& graph, Columns& out,
                              BatchCounters& counters) const;
-  /// kBatch incremental filter of survivors_[lo, hi) (one shard's
-  /// contiguous position range) against the new edges/ties: writes keep
-  /// flags and refreshes kept survivors' vertex memos. Mutates only this
-  /// range's survivors and keep slots, so shards run in parallel without
-  /// shared mutable state.
+  /// kBatch incremental filter of survivors [lo, hi) (one shard's
+  /// contiguous position range) against the new edges/ties: writes only
+  /// this range's keep flags, so shards run in parallel without shared
+  /// mutable state.
   void filter_range_batch(std::size_t lo, std::size_t hi,
                           const pref::PreferenceGraph& graph,
-                          std::vector<char>& keep, BatchCounters& counters);
+                          std::vector<char>& keep,
+                          BatchCounters& counters) const;
   /// Analysis-driven full rebuild (see GridFinderConfig::analysis_pruning):
   /// branch-and-prune over index sub-boxes plus degenerate-dimension
   /// replication. Returns false when there is nothing to exploit (caller
@@ -270,13 +289,17 @@ class GridFinder final : public CandidateFinder {
   bool rebuild_remote(const pref::PreferenceGraph& graph,
                       std::size_t n_shards, std::int64_t span_len,
                       std::int64_t total);
-  /// Rebuilds a Survivor (assignment + hole values, empty vertex memos —
-  /// value_at refills them deterministically) from its linear index.
-  Survivor materialize_survivor(std::int64_t linear) const;
-  std::vector<double> boundary_values(std::span<const double> hole_values,
-                                      std::size_t metric) const;
-  std::optional<DistinguishingPair> distinguish(const Survivor& a,
-                                                const Survivor& b);
+  /// Decodes one shard record, appending its survivors' linear indices to
+  /// `linears`; returns the header with an empty linears list. The single
+  /// structural validator behind parse_shard_blob and restore_state.
+  static ParsedShardBlob decode_shard_blob(const std::string& record,
+                                           std::vector<std::int64_t>& linears);
+  /// Appends the boundary probes of `metric` for one candidate.
+  void append_boundary_values(std::span<const double> hole_values,
+                              std::size_t metric,
+                              std::vector<double>& out) const;
+  std::optional<DistinguishingPair> distinguish(std::span<const double> a,
+                                                std::span<const double> b);
   /// The pool to shard work over, or nullptr when configured sequential.
   util::ThreadPool* pool() const;
 
@@ -299,7 +322,17 @@ class GridFinder final : public CandidateFinder {
   // the pool's own synchronization publishes them. The only cross-thread
   // member is cancel_, a pointer to the caller-owned atomic, set strictly
   // before (and cleared strictly after) the racing search it cancels.
-  std::vector<Survivor> survivors_;
+  Columns survivors_;
+  /// Buffers distinguish() reuses from call to call, so the pair search
+  /// allocates nothing per scenario sample.
+  struct PairScratch {
+    std::vector<std::vector<double>> boundaries;  // probes per metric
+    std::vector<std::size_t> cursor;              // cross-product odometer
+    std::vector<double> points;  // cross-product scenarios, row-major
+    std::vector<double> fa, fb;  // both candidates at every point
+    std::vector<std::size_t> order;
+    std::vector<double> sample1, sample2;  // random scenario pair
+  } pair_scratch_;
   bool initialized_ = false;
   std::size_t edges_seen_ = 0;
   std::size_t ties_seen_ = 0;

@@ -220,8 +220,12 @@ struct Z3Finder::DistEncoding {
       auto make_scenario_vars = [&](const char* tag) {
         std::vector<z3::expr> vars;
         for (const sketch::MetricSpec& m : sk.metrics()) {
-          const std::string name =
-              "p" + std::to_string(p) + "_" + tag + "_" + m.name;
+          std::string name = "p";
+          name += std::to_string(p);
+          name += '_';
+          name += tag;
+          name += '_';
+          name += m.name;
           z3::expr v = ctx.real_const(name.c_str());
           solver.add(v >= real_of_double(ctx, m.lo));
           solver.add(v <= real_of_double(ctx, m.hi));

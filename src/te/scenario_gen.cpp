@@ -139,7 +139,8 @@ std::vector<FlowRequest> random_workload(const Topology& topo, util::Rng& rng,
     f.dst = rng.index(topo.node_count());
     if (f.src == f.dst) continue;
     f.demand_gbps = rng.uniform_real(min_demand, max_demand);
-    f.name = "f" + std::to_string(out.size());
+    f.name = std::to_string(out.size());
+    f.name.insert(f.name.begin(), 'f');
     out.push_back(make_request(topo, std::move(f), k_tunnels));
   }
   return out;

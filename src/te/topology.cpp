@@ -97,7 +97,11 @@ Topology random_wan(util::Rng& rng, std::size_t nodes, std::size_t extra_links,
     throw std::invalid_argument("random_wan: bad capacity range");
   }
   Topology t;
-  for (std::size_t i = 0; i < nodes; ++i) t.add_node("n" + std::to_string(i));
+  for (std::size_t i = 0; i < nodes; ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    t.add_node(std::move(name));
+  }
 
   auto random_capacity = [&] { return rng.uniform_real(min_capacity, max_capacity); };
   auto random_latency = [&] { return rng.uniform_real(1.0, 40.0); };
@@ -131,7 +135,9 @@ Topology waxman_wan(util::Rng& rng, std::size_t nodes, double alpha, double beta
   std::vector<std::pair<double, double>> pos;
   pos.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
-    t.add_node("w" + std::to_string(i));
+    std::string name = "w";
+    name += std::to_string(i);
+    t.add_node(std::move(name));
     pos.emplace_back(rng.uniform_real(0, 1), rng.uniform_real(0, 1));
   }
   const double diagonal = std::sqrt(2.0);

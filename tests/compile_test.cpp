@@ -663,8 +663,10 @@ pref::PreferenceGraph swan_workload_graph(int n_scenarios, std::uint64_t seed) {
 
 std::vector<sketch::HoleAssignment> assignments_of(const GridFinder& finder) {
   std::vector<sketch::HoleAssignment> out;
-  out.reserve(finder.survivors().size());
-  for (const Survivor& s : finder.survivors()) out.push_back(s.assignment);
+  out.reserve(finder.version_space_size());
+  for (std::size_t i = 0; i < finder.version_space_size(); ++i) {
+    out.push_back(finder.survivor_assignment(i));
+  }
   return out;
 }
 

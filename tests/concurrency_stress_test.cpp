@@ -170,8 +170,8 @@ TEST(ConcurrencyStressSolverCache, BoundedAndCoherentUnderChurn) {
       long my_lookups = 0, my_corrupt = 0;
       barrier.arrive_and_wait();
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "k" + std::to_string(rng.uniform_int(0, kKeySpace - 1));
+        std::string key = std::to_string(rng.uniform_int(0, kKeySpace - 1));
+        key.insert(key.begin(), 'k');
         if (rng.bernoulli(0.5)) {
           cache.store(key, key + ":value");
         } else {

@@ -109,7 +109,9 @@ Sketch random_sketch(util::Rng& rng) {
   std::vector<MetricSpec> metrics;
   const auto n_metrics = static_cast<std::size_t>(rng.uniform_int(1, 3));
   for (std::size_t i = 0; i < n_metrics; ++i) {
-    metrics.push_back(MetricSpec{"m" + std::to_string(i), -10, 10});
+    std::string name = std::to_string(i);
+    name.insert(name.begin(), 'm');
+    metrics.push_back(MetricSpec{std::move(name), -10, 10});
   }
   std::vector<HoleSpec> holes;
   holes.push_back(HoleSpec{"sel", 0, 1, 3});  // choice selector

@@ -1,9 +1,8 @@
 // Differential tests for GridFinder's analysis-driven version-space pruning
 // (GridFinderConfig::analysis_pruning): with pruning on, the rebuilt
-// survivor sequence — assignments, hole values and memoized vertex values —
-// must be exactly what the exhaustive scan produces, and full synthesis
-// runs must follow identical trajectories. This is the contract that makes
-// the pruning a pure speed knob.
+// survivor sequence must be exactly what the exhaustive scan produces, and
+// full synthesis runs must follow identical trajectories. This is the
+// contract that makes the pruning a pure speed knob.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,24 +22,13 @@
 namespace compsynth::solver {
 namespace {
 
-// Exact survivor-sequence equality. vertex_values entries may be NaN
-// (= not yet memoized); both sides must agree on that too.
-void expect_identical(const std::vector<Survivor>& pruned,
-                      const std::vector<Survivor>& plain) {
-  ASSERT_EQ(pruned.size(), plain.size());
-  for (std::size_t i = 0; i < pruned.size(); ++i) {
-    const Survivor& a = pruned[i];
-    const Survivor& b = plain[i];
-    ASSERT_EQ(a.assignment, b.assignment) << "survivor " << i;
-    ASSERT_EQ(a.hole_values, b.hole_values) << "survivor " << i;
-    ASSERT_EQ(a.vertex_values.size(), b.vertex_values.size()) << i;
-    for (std::size_t v = 0; v < a.vertex_values.size(); ++v) {
-      const double x = a.vertex_values[v];
-      const double y = b.vertex_values[v];
-      ASSERT_TRUE((std::isnan(x) && std::isnan(y)) || x == y)
-          << "survivor " << i << " vertex " << v << ": " << x << " vs " << y;
-    }
-  }
+// Exact survivor-sequence equality: the same linear candidate indices in
+// the same order, hence the same assignments and hole values.
+void expect_identical(const GridFinder& pruned, const GridFinder& plain) {
+  const auto a = pruned.survivor_linears();
+  const auto b = plain.survivor_linears();
+  ASSERT_EQ(std::vector<std::int64_t>(a.begin(), a.end()),
+            std::vector<std::int64_t>(b.begin(), b.end()));
 }
 
 // A preference graph a ground-truth user would produce: random scenarios in
@@ -104,16 +92,15 @@ void expect_differential(const sketch::Sketch& sk,
   GridFinder plain(sk, config_with_pruning(false));
   pruned.sync(graph);
   plain.sync(graph);
-  expect_identical(pruned.survivors(), plain.survivors());
+  expect_identical(pruned, plain);
 
   // The batch lane engine (which ignores the pruning flag and always runs
-  // the sharded exhaustive scan) must land on the identical sequence —
-  // assignments, hole values AND memoized vertex values.
+  // the sharded exhaustive scan) must land on the identical sequence.
   GridFinderConfig batch_config = config_with_pruning(true);
   batch_config.eval_backend = EvalBackend::kBatch;
   GridFinder batched(sk, batch_config);
   batched.sync(graph);
-  expect_identical(batched.survivors(), plain.survivors());
+  expect_identical(batched, plain);
 
   // Same again after growing the graph (incremental filter path) and after
   // a fresh full rebuild against the richer graph.
@@ -123,10 +110,10 @@ void expect_differential(const sketch::Sketch& sk,
   GridFinder plain2(sk, config_with_pruning(false));
   pruned2.sync(bigger);
   plain2.sync(bigger);
-  expect_identical(pruned2.survivors(), plain2.survivors());
+  expect_identical(pruned2, plain2);
   GridFinder batched2(sk, batch_config);
   batched2.sync(bigger);
-  expect_identical(batched2.survivors(), plain2.survivors());
+  expect_identical(batched2, plain2);
 }
 
 TEST(PruneDifferential, Swan) {
@@ -172,7 +159,7 @@ TEST(PruneDifferential, UnusedHoleReplication) {
   plain.sync(empty);
   ASSERT_EQ(plain.version_space_size(),
             static_cast<std::size_t>(sk.candidate_space_size()));
-  expect_identical(pruned.survivors(), plain.survivors());
+  expect_identical(pruned, plain);
 }
 
 TEST(PruneDifferential, PruningActuallyPrunes) {
@@ -194,7 +181,7 @@ TEST(PruneDifferential, PruningActuallyPrunes) {
   // And the pruned result still matches the exhaustive scan.
   GridFinder plain(sketch::swan_sketch(), config_with_pruning(false));
   plain.sync(graph);
-  expect_identical(pruned.survivors(), plain.survivors());
+  expect_identical(pruned, plain);
 }
 
 // Full synthesis runs must be trajectory-identical: same status, same

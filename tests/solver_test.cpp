@@ -299,7 +299,9 @@ pref::PreferenceGraph state_test_graph(const sketch::Sketch& sk) {
 
 std::vector<sketch::HoleAssignment> grid_assignments(const GridFinder& f) {
   std::vector<sketch::HoleAssignment> out;
-  for (const Survivor& s : f.survivors()) out.push_back(s.assignment);
+  for (std::size_t i = 0; i < f.version_space_size(); ++i) {
+    out.push_back(f.survivor_assignment(i));
+  }
   return out;
 }
 
@@ -345,10 +347,11 @@ TEST(GridFinderState, V1BlobsStillRestore) {
   }
   std::vector<unsigned char> bytes(static_cast<std::size_t>((total + 7) / 8),
                                    0);
-  for (const Survivor& s : a.survivors()) {
+  for (std::size_t i = 0; i < a.version_space_size(); ++i) {
+    const sketch::HoleAssignment s = a.survivor_assignment(i);
     std::int64_t linear = 0;
     for (std::size_t h = 0; h < stride.size(); ++h) {
-      linear += s.assignment.index[h] * stride[h];
+      linear += s.index[h] * stride[h];
     }
     bytes[static_cast<std::size_t>(linear / 8)] |=
         static_cast<unsigned char>(1 << (linear % 8));
